@@ -19,7 +19,11 @@ _SMALL_PRIMES: Tuple[int, ...] = tuple(
 
 
 def egcd(a: int, b: int) -> Tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y == g == gcd(a, b)."""
+    """Extended Euclid: returns (g, x, y) with a*x + b*y == g == gcd(a, b).
+
+    Only for callers that need the Bezout coefficients themselves; a plain
+    modular inverse is :func:`modinv`.
+    """
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -33,10 +37,10 @@ def egcd(a: int, b: int) -> Tuple[int, int, int]:
 
 def modinv(a: int, m: int) -> int:
     """Inverse of ``a`` modulo ``m``; raises ValueError if none exists."""
-    g, x, _ = egcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} has no inverse modulo {m}")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ValueError(f"{a} has no inverse modulo {m}") from None
 
 
 def is_probable_prime(n: int, rng: Optional[random.Random] = None, rounds: int = 32) -> bool:

@@ -37,16 +37,29 @@ KEY_SIZE = 32
 # instance per key byte-string is safe to share. Deterministic either
 # way; the toggle exists for the PerfLab benchmark's uncached arm.
 _CIPHER_CACHE = BoundedLru(256)
+# Result memo: the on-premises replicas of one process encrypt the same
+# update (and the same checkpoint) under the same key pair back to back,
+# and later decrypt the same blob, so each distinct operation is computed
+# once and the other replicas copy its result. Entries are keyed on the
+# full key pair plus the full input, so only a holder of the keys can hit
+# one. Only successful results are stored: a tampered blob or a wrong key
+# always runs the real cipher and raises. Entries can hold whole
+# checkpoints (tens of KB each), hence the small entry bound; the
+# replicas' operations on one input arrive back to back, so a few
+# entries already catch all but the first of them.
+_RESULT_CACHE = BoundedLru(8)
 _cipher_cache_enabled = True
 
 
 def set_cipher_cache_enabled(enabled: bool) -> bool:
-    """Toggle the AES key-schedule memo; returns the previous setting."""
+    """Toggle the AES key-schedule and result memos; returns the previous
+    setting."""
     global _cipher_cache_enabled
     previous = _cipher_cache_enabled
     _cipher_cache_enabled = bool(enabled)
     if not enabled:
         _CIPHER_CACHE.clear()
+        _RESULT_CACHE.clear()
     return previous
 
 
@@ -94,11 +107,27 @@ def deterministic_iv(keys: SymmetricKeyPair, plaintext: bytes) -> bytes:
     return hmac.new(keys.prf_key, plaintext, hashlib.sha256).digest()[:BLOCK_SIZE]
 
 
+def _memo_key(op: str, keys: SymmetricKeyPair, data: bytes):
+    """The result-memo key for ``op`` on ``data``, or None when the memo
+    does not apply (disabled, or a mutable/non-``bytes`` input)."""
+    if not _cipher_cache_enabled or type(data) is not bytes:
+        return None
+    return (op, keys.enc_key, keys.prf_key, data)
+
+
 def encrypt(keys: SymmetricKeyPair, plaintext: bytes) -> bytes:
     """Deterministically encrypt: returns ``iv || ciphertext``."""
+    memo_key = _memo_key("enc", keys, plaintext)
+    if memo_key is not None:
+        blob = _RESULT_CACHE.get(memo_key)
+        if blob is not MISS:
+            return blob
     iv = deterministic_iv(keys, plaintext)
     cipher = _cipher_for(keys.enc_key)
-    return iv + cbc_encrypt(cipher, iv, plaintext)
+    blob = iv + cbc_encrypt(cipher, iv, plaintext)
+    if memo_key is not None:
+        _RESULT_CACHE.put(memo_key, blob)
+    return blob
 
 
 def decrypt(keys: SymmetricKeyPair, blob: bytes) -> bytes:
@@ -108,6 +137,11 @@ def decrypt(keys: SymmetricKeyPair, blob: bytes) -> bytes:
     transmitted IV gives integrity "for free": tampering with the
     ciphertext produces either a padding failure or an IV mismatch.
     """
+    memo_key = _memo_key("dec", keys, blob)
+    if memo_key is not None:
+        plaintext = _RESULT_CACHE.get(memo_key)
+        if plaintext is not MISS:
+            return plaintext
     if len(blob) < 2 * BLOCK_SIZE:
         raise DecryptionError("blob too short to contain IV and one block")
     iv, ciphertext = blob[:BLOCK_SIZE], blob[BLOCK_SIZE:]
@@ -115,4 +149,6 @@ def decrypt(keys: SymmetricKeyPair, blob: bytes) -> bytes:
     plaintext = cbc_decrypt(cipher, iv, ciphertext)
     if not hmac.compare_digest(deterministic_iv(keys, plaintext), iv):
         raise DecryptionError("IV commitment mismatch (wrong key or tampered data)")
+    if memo_key is not None:
+        _RESULT_CACHE.put(memo_key, plaintext)
     return plaintext

@@ -129,7 +129,10 @@ def write_str(out: bytearray, value: str) -> None:
 
 def read_str(data: bytes, offset: int) -> Tuple[str, int]:
     raw, offset = read_bytes(data, offset)
-    return raw.decode("utf-8"), offset
+    try:
+        return raw.decode("utf-8"), offset
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"invalid UTF-8 in string field: {exc.reason}") from None
 
 
 def write_int_map(out: bytearray, mapping) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.cache import BoundedLru, FrameCache
+from repro.cache import FrameCache
 from repro.errors import ConfigurationError
 from repro.net.overlay import Overlay
 from repro.net.topology import Topology
@@ -33,9 +33,9 @@ from repro.sim.trace import Tracer
 Handler = Callable[[str, Any], None]
 
 DEFAULT_MESSAGE_SIZE = 256          # bytes, when payload declares nothing
-# Instrument-handle maps are keyed by message type name (plus drop
-# reason); the live set is small, the bound only guards FaultLab sweeps
-# that register many dynamic types.
+# Counter-handle maps are keyed by message type name (plus drop reason);
+# the live set is small, the bound only guards FaultLab sweeps that
+# register many dynamic types.
 _INSTRUMENT_CAPACITY = 256
 DEFAULT_WAN_BANDWIDTH = 100e6 / 8   # 100 Mbit/s in bytes/second
 DEFAULT_LAN_BANDWIDTH = 1e9 / 8     # 1 Gbit/s in bytes/second
@@ -64,13 +64,15 @@ class Network:
         self.overlay = overlay
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        # Per-message-type instrument handles, cached so the hot send path
-        # pays one dict lookup instead of a registry lookup per message.
-        # Bounded: the registry owns the counts; eviction only drops a
-        # handle, which is re-fetched on the next use.
-        self._send_instruments: BoundedLru = BoundedLru(_INSTRUMENT_CAPACITY)
-        self._recv_instruments: BoundedLru = BoundedLru(_INSTRUMENT_CAPACITY)
-        self._drop_counters: BoundedLru = BoundedLru(_INSTRUMENT_CAPACITY)
+        # Host -> site name, read per message instead of site_of() calls.
+        self._host_site = topology.host_sites
+        # Per-message-type counter handles, one plain map per direction, so
+        # the hot path pays one dict lookup instead of a registry lookup per
+        # message. Bounded: the registry owns the counts, so a full map is
+        # simply emptied and its handles re-fetched on the next use.
+        self._send_counters: Dict[str, Tuple[Any, Any]] = {}
+        self._recv_counters: Dict[str, Tuple[Any, Any]] = {}
+        self._drop_counters: Dict[Tuple[str, str], Any] = {}
         # Identity-keyed wire_size memo: a broadcast fan-out (or a
         # retransmit of the same stored message object) computes the size
         # estimate once instead of once per destination. Sizes are a pure
@@ -167,34 +169,25 @@ class Network:
 
     # -- metrics helpers -------------------------------------------------------------
 
-    def _count_send(self, type_name: str, size: int) -> None:
-        pair = self._send_instruments.get(type_name, None)
-        if pair is None:
-            pair = (
-                self.metrics.counter("net.send", type=type_name),
-                self.metrics.counter("net.send_bytes", type=type_name),
-            )
-            self._send_instruments.put(type_name, pair)
-        pair[0].inc()
-        pair[1].inc(size)
-
-    def _count_recv(self, type_name: str, size: int) -> None:
-        pair = self._recv_instruments.get(type_name, None)
-        if pair is None:
-            pair = (
-                self.metrics.counter("net.recv", type=type_name),
-                self.metrics.counter("net.recv_bytes", type=type_name),
-            )
-            self._recv_instruments.put(type_name, pair)
-        pair[0].inc()
-        pair[1].inc(size)
+    def _counter_pair(self, handles: Dict, name: str, type_name: str) -> Tuple[Any, Any]:
+        """Fetch and remember the (count, bytes) counters of ``type_name``."""
+        if len(handles) >= _INSTRUMENT_CAPACITY:
+            handles.clear()
+        pair = handles[type_name] = (
+            self.metrics.counter(name, type=type_name),
+            self.metrics.counter(name + "_bytes", type=type_name),
+        )
+        return pair
 
     def _count_drop(self, type_name: str, reason: str) -> None:
         key = (type_name, reason)
-        counter = self._drop_counters.get(key, None)
+        counter = self._drop_counters.get(key)
         if counter is None:
-            counter = self.metrics.counter("net.drop", type=type_name, reason=reason)
-            self._drop_counters.put(key, counter)
+            if len(self._drop_counters) >= _INSTRUMENT_CAPACITY:
+                self._drop_counters.clear()
+            counter = self._drop_counters[key] = self.metrics.counter(
+                "net.drop", type=type_name, reason=reason
+            )
         counter.inc()
 
     def _cached_size(self, payload: Any) -> int:
@@ -218,15 +211,20 @@ class Network:
         size = size if size is not None else self._cached_size(payload)
         self.bytes_sent += size
         type_name = type(payload).__name__
-        self._count_send(type_name, size)
-        src_site = self.topology.site_of(src).name
-        dst_site = self.topology.site_of(dst).name
+        counters = self._send_counters.get(type_name)
+        if counters is None:
+            counters = self._counter_pair(self._send_counters, "net.send", type_name)
+        counters[0].inc()
+        counters[1].inc(size)
+        try:
+            src_site = self._host_site[src]
+            dst_site = self._host_site[dst]
+        except KeyError as exc:
+            raise ConfigurationError(f"unknown host {exc.args[0]!r}") from None
 
         if src_site == dst_site:
-            if self.overlay.is_isolated(src_site):
-                # Intra-site traffic still flows during an external DoS: the
-                # attack saturates the site's uplinks, not its LAN.
-                pass
+            # Intra-site traffic flows even during an external DoS: the
+            # attack saturates the site's uplinks, not its LAN.
             latency = self.topology.lan_latency
             bandwidth = self._lan_bandwidth
         else:
@@ -292,9 +290,9 @@ class Network:
             return
         # Re-check reachability at arrival time: a partition that started
         # while the message was in flight kills it (DoS saturates the last
-        # hop too).
-        src_site = self.topology.site_of(src).name
-        dst_site = self.topology.site_of(dst).name
+        # hop too). Both hosts were resolved when the message was sent.
+        src_site = self._host_site[src]
+        dst_site = self._host_site[dst]
         if src_site != dst_site and self.overlay.path_latency(src_site, dst_site) is None:
             self.messages_dropped += 1
             self._count_drop(type(payload).__name__, "partitioned")
@@ -307,7 +305,12 @@ class Network:
             self._count_drop(type(payload).__name__, "no-handler")
             return
         self.messages_delivered += 1
-        self._count_recv(type(payload).__name__, size)
+        type_name = type(payload).__name__
+        counters = self._recv_counters.get(type_name)
+        if counters is None:
+            counters = self._counter_pair(self._recv_counters, "net.recv", type_name)
+        counters[0].inc()
+        counters[1].inc(size)
         if self.inspector is not None:
             self.inspector(dst, payload)
         handler(src, payload)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -54,6 +55,7 @@ class Topology:
         self.lan_latency = lan_latency
         self._sites: Dict[str, Site] = {}
         self._host_site: Dict[str, str] = {}
+        self._host_site_view = MappingProxyType(self._host_site)
         self._links: Dict[Tuple[str, str], float] = {}
 
     # -- construction --------------------------------------------------------
@@ -97,6 +99,12 @@ class Topology:
         if site_name is None:
             raise ConfigurationError(f"unknown host {host!r}")
         return self._sites[site_name]
+
+    @property
+    def host_sites(self) -> Mapping[str, str]:
+        """Live read-only map of host name -> site name (for hot paths
+        that would otherwise call :meth:`site_of` per message)."""
+        return self._host_site_view
 
     def get_site(self, name: str) -> Site:
         return self._require_site(name)

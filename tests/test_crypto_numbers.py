@@ -1,5 +1,6 @@
 """Tests for the number-theory primitives."""
 
+import math
 import random
 
 import pytest
@@ -75,6 +76,40 @@ def test_modinv_roundtrip():
 def test_modinv_noninvertible_raises():
     with pytest.raises(ValueError):
         modinv(6, 9)
+
+
+def _egcd_modinv(a, m):
+    """The extended-Euclid inverse ``modinv`` used to compute."""
+    g, x, _ = egcd(a % m, m)
+    if g != 1:
+        raise ValueError(f"{a} has no inverse modulo {m}")
+    return x % m
+
+
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+@settings(max_examples=300)
+def test_modinv_matches_extended_euclid(a, m):
+    try:
+        expected = _egcd_modinv(a, m)
+    except ValueError:
+        assert math.gcd(a, m) != 1
+        with pytest.raises(ValueError):
+            modinv(a, m)
+        return
+    assert modinv(a, m) == expected
+
+
+@pytest.mark.parametrize("a", [-7, -1, 0, 1, 12345])
+def test_modinv_modulo_one_is_zero(a):
+    assert modinv(a, 1) == _egcd_modinv(a, 1) == 0
+
+
+@given(st.integers(2, 10 ** 12), st.integers(2, 10 ** 12), st.integers(-10 ** 12, 10 ** 12))
+@settings(max_examples=100)
+def test_modinv_raises_when_not_coprime(factor, m, k):
+    # k*factor and m*factor share the factor, so no inverse exists.
+    with pytest.raises(ValueError):
+        modinv(k * factor, m * factor)
 
 
 def test_crt_combine():

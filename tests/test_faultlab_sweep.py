@@ -48,6 +48,7 @@ def test_replay_is_deterministic():
     assert first.report.summary() == second.report.summary()
 
 
+@pytest.mark.slow  # the class fixture shrinks a FaultLab schedule
 class TestPlantedLeak:
     @pytest.fixture(scope="class")
     def shrunk(self):

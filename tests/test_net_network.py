@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net import AttackController, AttackEvent, Network, Overlay, east_coast_topology
-from repro.net.topology import CLIENT_SITE, CONTROL_CENTER_A, CONTROL_CENTER_B
+from repro.net.network import DEFAULT_WAN_BANDWIDTH
+from repro.net.topology import CLIENT_SITE, CONTROL_CENTER_A, CONTROL_CENTER_B, DATA_CENTER_1
+from repro.obs.registry import MetricsRegistry
 from repro.sim import Kernel, RngRegistry, Tracer
 
 
@@ -272,6 +274,85 @@ def test_degraded_site_slows_but_does_not_sever(world):
     assert kernel.now >= 0.0085 + 0.050
     network.restore_site(CONTROL_CENTER_B)
     assert not network.site_is_degraded(CONTROL_CENTER_B)
+
+
+def test_route_changes_take_effect_on_a_warmed_up_network():
+    """Per-message lookups (host sites, counter handles, cached routes)
+    must never freeze a route: every isolate/reconnect, cut/restore and
+    degrade/restore applies to the very next send or delivery."""
+    kernel = Kernel()
+    topo = east_coast_topology(2)
+    topo.add_host("a1", CONTROL_CENTER_A)
+    topo.add_host("b1", CONTROL_CENTER_B)
+    topo.add_host("d1", DATA_CENTER_1)
+    overlay = Overlay(topo)
+    metrics = MetricsRegistry()
+    network = Network(
+        kernel, topo, overlay, RngRegistry(1), metrics=metrics, jitter_fraction=0.0
+    )
+    arrivals = []
+    network.register("a1", lambda *a: None)
+    network.register("b1", lambda src, payload: arrivals.append(payload))
+    network.register("d1", lambda src, payload: arrivals.append(payload))
+    size = 1000
+    tx = size / DEFAULT_WAN_BANDWIDTH
+
+    def flight(dst, payload):
+        """One send from a1, run to quiescence: the one-way delay, or
+        None if the message was not delivered."""
+        sent_at = kernel.now
+        network.send("a1", dst, payload, size=size)
+        kernel.run()
+        if arrivals and arrivals[-1] == payload:
+            return kernel.now - sent_at
+        return None
+
+    # Warm up every path the test uses.
+    assert flight("b1", "warm-b") == pytest.approx(0.0085 + tx)
+    assert flight("d1", "warm-d") == pytest.approx(0.0040 + tx)
+
+    overlay.isolate_site(CONTROL_CENTER_B)
+    assert network.send("a1", "b1", "isolated", size=size) is False
+    assert flight("d1", "other-site-unaffected") == pytest.approx(0.0040 + tx)
+    overlay.reconnect_site(CONTROL_CENTER_B)
+    assert flight("b1", "reconnected") == pytest.approx(0.0085 + tx)
+
+    # Isolated while in flight: dropped on arrival, then reconnected.
+    network.send("a1", "b1", "in-flight", size=size)
+    kernel.call_later(0.001, overlay.isolate_site, CONTROL_CENTER_B)
+    kernel.run()
+    overlay.reconnect_site(CONTROL_CENTER_B)
+    assert flight("b1", "after-partition") == pytest.approx(0.0085 + tx)
+
+    # A cut link detours over dc-2 (6 + 2 ms), and restoring it undoes that.
+    overlay.cut_link(CONTROL_CENTER_A, DATA_CENTER_1)
+    assert flight("d1", "detoured") == pytest.approx(0.0080 + tx)
+    overlay.restore_link(CONTROL_CENTER_A, DATA_CENTER_1)
+    assert flight("d1", "restored-link") == pytest.approx(0.0040 + tx)
+
+    network.degrade_site(DATA_CENTER_1, bandwidth_divisor=10.0,
+                         added_latency=0.020, loss_probability=0.0)
+    assert flight("d1", "degraded") == pytest.approx(0.0040 + 0.020 + 10 * tx)
+    assert flight("b1", "undegraded-site") == pytest.approx(0.0085 + tx)
+    network.restore_site(DATA_CENTER_1)
+    assert flight("d1", "restored-site") == pytest.approx(0.0040 + tx)
+
+    assert arrivals == [
+        "warm-b", "warm-d", "other-site-unaffected", "reconnected",
+        "after-partition", "detoured", "restored-link", "degraded",
+        "undegraded-site", "restored-site",
+    ]
+
+    def count(name, **labels):
+        return metrics.counter(name, type="str", **labels).value
+
+    assert count("net.send") == 12
+    assert count("net.send_bytes") == 12 * size
+    assert count("net.recv") == 10
+    assert count("net.recv_bytes") == 10 * size
+    assert count("net.drop", reason="no-route") == 1
+    assert count("net.drop", reason="partitioned") == 1
+    assert network.messages_dropped == 2
 
 
 class TestAttackController:

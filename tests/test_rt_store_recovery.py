@@ -17,6 +17,9 @@ import pytest
 from repro.rt.bootstrap import RtConfig
 from repro.rt.launcher import Launcher
 
+# The module fixture runs a live fleet through a crash and a respawn.
+pytestmark = pytest.mark.slow
+
 TARGET = "dc-1-r0"
 
 

@@ -212,6 +212,19 @@ def test_decoder_rejects_corrupt_stream_midway():
         decoder.feed(bytes(bad))
 
 
+def test_decoder_rejects_invalid_utf8_source_as_protocol_error():
+    # Decoding is total: a bit-flipped source string is a ProtocolError,
+    # never a UnicodeDecodeError escaping the stream decoder.
+    frame = bytearray(encode_frame("dc-1-r0", PRIME_MESSAGES[0]))
+    src_start = 8 + 1  # fixed v1 header, then the one-byte source length
+    assert frame[src_start:src_start + 7] == b"dc-1-r0"
+    frame[src_start] ^= 0x80  # 'd' becomes a UTF-8 lead byte with no tail
+    with pytest.raises(ProtocolError):
+        FrameDecoder().feed(bytes(frame))
+    with pytest.raises(ProtocolError):
+        decode_frame(bytes(frame))
+
+
 def test_decoder_yields_context_triples_when_asked():
     trace = TraceContext(trace_id=11, parent_span=22, hlc_physical=3.5, hlc_logical=1)
     stream = encode_frame("a", PRIME_MESSAGES[0]) + encode_frame(

@@ -254,6 +254,7 @@ class TestCompactionTraceIdentity:
         assert counter(baseline, "store.compaction_runs", LIVE) == 0
 
 
+@pytest.mark.slow  # the class fixture runs two recovery deployments
 class TestDeltaChain:
     # The rejoin happens after well over 10 checkpoint intervals of
     # traffic, inside one full-snapshot period (delta_interval=10 ->
@@ -363,6 +364,7 @@ class TestFaultLabCompactionKinds:
                   if e.category == "fault.store-damage"]
         assert damage and damage[0].detail["applied"]
 
+    @pytest.mark.slow
     def test_crash_during_compaction_twenty_seed_sweep(self):
         for seed in range(20):
             schedule = store_schedule(
@@ -396,6 +398,7 @@ class TestFaultLabCompactionKinds:
             assert "crash_during_compaction" not in kinds
             assert "crash_mid_delta" not in kinds
 
+    @pytest.mark.slow
     def test_shrinker_handles_schedules_with_new_kinds(self):
         # A failing schedule that also carries the new storage kinds must
         # shrink cleanly: the minimizer drops the benign storage events

@@ -12,6 +12,7 @@ breadth; this covers the generator-independent corner shapes hypothesis
 likes (zero-length gaps, boundary times, behaviour combinations).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +75,7 @@ def _build_schedule(seed, compromises, site_fault):
     return FaultSchedule(seed=seed, horizon=HORIZON, events=tuple(events))
 
 
+@pytest.mark.slow
 @given(
     seed=st.integers(1, 10_000),
     compromises=st.lists(compromise_strategy, min_size=1, max_size=2),
