@@ -232,6 +232,10 @@ def make_parser() -> argparse.ArgumentParser:
     faultlab.add_argument("--detect", action="store_true",
                           help="run the online anomaly detectors and score "
                                "fault -> detection coverage per seed")
+    faultlab.add_argument("--shards", type=int, default=1,
+                          help="replica groups; > 1 sweeps shard-scoped "
+                               "schedules with per-shard invariants and the "
+                               "cross-shard audit (8 clients; sim only)")
 
     perf = sub.add_parser(
         "perf", help="hot-path benchmarks and the speedup regression guard"
@@ -281,7 +285,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     shard = sub.add_parser(
         "shard",
-        help="ShardLab: multi-group sharded sim and the shard fault sweep",
+        help="ShardLab: multi-group sharded sim with a cross-shard workload",
     )
     shard_sub = shard.add_subparsers(dest="shard_command", required=True)
     shard_run = shard_sub.add_parser(
@@ -297,14 +301,6 @@ def make_parser() -> argparse.ArgumentParser:
                            help="every Nth update per client crosses shards "
                                 "(0 disables the cross-shard path)")
     _add_obs_args(shard_run)
-    shard_sweep = shard_sub.add_parser(
-        "sweep", help="shard-scoped fault sweep with per-shard invariants"
-    )
-    shard_sweep.add_argument("--seeds", type=int, default=20,
-                             help="number of seeds (schedules) to run")
-    shard_sweep.add_argument("--start-seed", type=int, default=1)
-    shard_sweep.add_argument("--shards", type=int, default=2)
-    shard_sweep.add_argument("--clients", type=int, default=8)
 
     load = sub.add_parser(
         "load",
@@ -438,7 +434,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
             intro_batch_size=args.batch,
             shards=args.shards,
         )
-        deployment = build_sharded(config) if args.shards > 1 else build(config)
+        deployment = build_sharded(config)
         deployment.start()
         generator = LoadGenerator(
             deployment,
@@ -519,20 +515,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
-    if args.shard_command == "sweep":
-        from repro.faultlab.shardfaults import ShardFaultLabConfig, shard_sweep
-
-        lab = ShardFaultLabConfig(shards=args.shards, num_clients=args.clients)
-        seeds = range(args.start_seed, args.start_seed + args.seeds)
-        results = shard_sweep(
-            seeds, lab, on_result=lambda r: print(r.summary(), flush=True)
-        )
-        green = sum(1 for r in results if r.ok)
-        committed = sum(r.cross_committed for r in results)
-        print(f"\nshard sweep: {green}/{len(results)} seeds green, "
-              f"{committed} cross-shard commits")
-        return 0 if green == len(results) else 1
-
     from repro.shard.builder import build_sharded
     from repro.system.config import SystemConfig
 
@@ -768,13 +750,21 @@ def _cmd_faultlab(args: argparse.Namespace) -> int:
         shrink,
     )
 
-    lab = FaultLabConfig(
+    settings = dict(
         mode=Mode(args.mode),
         f=args.f,
         key_renewal_enabled=args.key_renewal,
         intro_batch_size=args.batch_size,
         detectors=args.detect,
     )
+    if args.shards > 1 and args.substrate == "live":
+        print("faultlab --substrate live runs a single replica group; "
+              "--shards > 1 needs --substrate sim")
+        return 2
+    if args.shards > 1:
+        lab = FaultLabConfig.sharded(args.shards, **settings)
+    else:
+        lab = FaultLabConfig(**settings)
     if args.substrate == "live":
         return _cmd_faultlab_live(args, lab)
     if args.seed is not None:
@@ -787,12 +777,14 @@ def _cmd_faultlab(args: argparse.Namespace) -> int:
         seeds = [loaded.seed]
 
     failures = []
+    cross_committed = 0
     for seed in seeds:
         schedule = loaded if loaded is not None else schedule_for_seed(seed, lab)
         if args.plant_leak:
             schedule = plant_leak(schedule)
         result = run_schedule(schedule, lab, keep_deployment=bool(args.obs_out))
-        print(result.summary())
+        cross_committed += result.cross_committed
+        print(result.summary(), flush=True)
         if args.windows:
             for window in result.metric_windows:
                 print("   ", window.describe())
@@ -810,7 +802,10 @@ def _cmd_faultlab(args: argparse.Namespace) -> int:
             for violation in result.report.violations:
                 print("   ", violation.describe())
 
-    print(f"\nfaultlab: {len(seeds) - len(failures)}/{len(seeds)} seeds green")
+    line = f"\nfaultlab: {len(seeds) - len(failures)}/{len(seeds)} seeds green"
+    if lab.shards > 1:
+        line += f", {cross_committed} cross-shard commits"
+    print(line)
     if not failures:
         return 0
 

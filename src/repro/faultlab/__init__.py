@@ -1,8 +1,8 @@
 """FaultLab: deterministic fault-schedule exploration for the reproduction.
 
 Generate seeded fault timelines (:mod:`repro.faultlab.schedule`), replay
-them against fresh deployments while checking safety and liveness
-invariants online (:mod:`repro.faultlab.invariants`,
+them against fresh deployments of any shard count while checking safety
+and liveness invariants online (:mod:`repro.faultlab.invariants`,
 :mod:`repro.faultlab.runner`), and shrink any failure to a minimal
 regression test (:mod:`repro.faultlab.shrinker`).
 

@@ -27,6 +27,10 @@ Invariant catalogue (each maps to a claim in the paper):
   state transfer) rather than silently served;
 - ``liveness`` — after all scheduled faults clear (quiescence), clients
   finish their updates, no proxy gives up, and online replicas converge.
+
+Sharded deployments get one checker per shard, plus the cross-shard
+obligations no single group can check
+(:func:`check_cross_shard_consistency`).
 """
 
 from __future__ import annotations
@@ -455,8 +459,13 @@ class InvariantChecker:
         adversary=None,
         quiesce_at: Optional[float] = None,
         invariants: Optional[List[Invariant]] = None,
+        namespace: str = "",
     ):
         self.deployment = deployment
+        #: Only trace events from hosts under this prefix are checked: a
+        #: sharded deployment's groups share one tracer, and hostnames
+        #: carry the ``sN.`` namespace of their shard.
+        self.namespace = namespace
         self.adversary = adversary
         self.quiesce_at = quiesce_at
         self.invariants = (
@@ -484,6 +493,8 @@ class InvariantChecker:
             self._attached = False
 
     def _on_event(self, event: TraceEvent) -> None:
+        if self.namespace and not event.host.startswith(self.namespace):
+            return
         for invariant in self.invariants:
             invariant.on_event(event)
 
@@ -510,3 +521,83 @@ class InvariantChecker:
             skipped=skipped,
             checked=tuple(i.name for i in self.invariants),
         )
+
+
+# ---------------------------------------------------------------------------
+# Cross-shard consistency
+# ---------------------------------------------------------------------------
+
+#: The invariants :func:`check_cross_shard_consistency` reports under.
+CROSS_SHARD_INVARIANTS = (
+    "cross-shard-liveness",
+    "cross-shard-certification",
+    "cross-shard-consistency",
+)
+
+
+def check_cross_shard_consistency(sharded, now: float) -> List[Violation]:
+    """The obligations only the whole topology can check.
+
+    1. the coordinator holds no in-flight intent (everything accepted
+       before quiescence committed or was rejected);
+    2. no commit was rejected by a participant (a rejection under a
+       crash/partition schedule means a certificate failed to verify);
+    3. every cross-written key carries the same version tag — and the
+       same value — on every online shard that holds it (last-writer-wins
+       convergence across the topology).
+    """
+    violations: List[Violation] = []
+    coordinator = sharded.coordinator
+    if coordinator is not None:
+        for (cid, seq) in sorted(coordinator._pending):
+            violations.append(Violation(
+                "cross-shard-liveness", now, f"router-{cid}",
+                f"intent ({cid}, seq {seq}) still in flight at end of run",
+            ))
+        for (cid, seq, shard, reason) in coordinator.rejected:
+            violations.append(Violation(
+                "cross-shard-certification", now, f"s{shard}",
+                f"participant rejected commit ({cid}, seq {seq}): "
+                f"{reason.decode('utf-8', 'replace')}",
+            ))
+
+    # key -> shard -> (tag, value), read from each shard's freshest online
+    # executing replica (per-shard convergence is the liveness checker's
+    # job; here one witness per shard suffices).
+    tables: Dict[str, Dict[int, Tuple[tuple, Optional[str]]]] = {}
+    for shard_id, shard in enumerate(sharded.shards):
+        apps = [
+            replica.app
+            for replica in shard.executing_replicas()
+            if replica.online
+        ]
+        if not apps:
+            continue
+        app = max(apps, key=lambda a: a.inner.executed_count)
+        reader = getattr(app.inner, "get", None)
+        for key, tag in app.versions.items():
+            value = reader(key) if reader is not None else None
+            tables.setdefault(key, {})[shard_id] = (tuple(tag), value)
+
+    for key, holders in sorted(tables.items()):
+        tags = {tag for tag, _value in holders.values()}
+        if len(tags) > 1:
+            violations.append(Violation(
+                "cross-shard-consistency", now, "topology",
+                f"key {key!r} diverged: "
+                + ", ".join(
+                    f"s{shard}={tag}" for shard, (tag, _v) in sorted(holders.items())
+                ),
+            ))
+            continue
+        values = {value for _tag, value in holders.values()}
+        if len(values) > 1:
+            violations.append(Violation(
+                "cross-shard-consistency", now, "topology",
+                f"key {key!r} agrees on tags but not values: "
+                + ", ".join(
+                    f"s{shard}={value!r}"
+                    for shard, (_t, value) in sorted(holders.items())
+                ),
+            ))
+    return violations

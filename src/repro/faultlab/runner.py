@@ -1,13 +1,13 @@
 """Execute fault schedules against freshly built deployments.
 
-:func:`run_schedule` is FaultLab's core loop: build a deployment from the
-schedule's seed, attach the invariant checker, install every fault window
-as kernel callbacks, run a client workload through the turbulence, let the
-system quiesce, and score the run. Because the simulation is fully
-deterministic, the same :class:`~repro.faultlab.schedule.FaultSchedule`
-against the same :class:`FaultLabConfig` always yields the same
-:class:`FaultLabResult` — which is what makes sweeping, replaying, and
-shrinking meaningful.
+:func:`run_schedule` is FaultLab's one runner, for any shard count: build
+a deployment from the schedule's seed (``build_sharded``; one shard *is*
+the classic deployment), arm it (:class:`ArmedRun`), run a client
+workload through the turbulence, let the system quiesce, and score the
+run. Because the simulation is fully deterministic, the same
+:class:`~repro.faultlab.schedule.FaultSchedule` against the same
+:class:`FaultLabConfig` always yields the same :class:`FaultLabResult` —
+which is what makes sweeping, replaying, and shrinking meaningful.
 """
 
 from __future__ import annotations
@@ -19,17 +19,26 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.faultlab.invariants import InvariantChecker, InvariantReport
+from repro.faultlab.invariants import (
+    CROSS_SHARD_INVARIANTS,
+    InvariantChecker,
+    InvariantReport,
+    check_cross_shard_consistency,
+)
 from repro.faultlab.schedule import (
+    SHARD_KINDS,
     STORE_KINDS,
+    FaultEvent,
     FaultSchedule,
-    ScheduleSpace,
     generate_schedule,
+    generate_shard_schedule,
+    make_event,
     space_for,
     validate_schedule,
 )
+from repro.rt.bootstrap import replica_layout
+from repro.shard.builder import ShardedDeployment, build_sharded
 from repro.system.adversary import Adversary, Behavior
-from repro.system.builder import build
 from repro.system.config import Mode, SystemConfig
 
 
@@ -81,6 +90,18 @@ class FaultLabConfig:
     checkpoint_delta_interval: int = 0
     store_compaction_interval: float = 0.0
 
+    #: ShardLab: replica groups (1 is the classic deployment; see
+    #: :meth:`sharded`) and, with S > 1, every Nth update per client is a
+    #: cross-shard write.
+    shards: int = 1
+    cross_shard_every: int = 4
+
+    @classmethod
+    def sharded(cls, shards: int = 2, **overrides) -> "FaultLabConfig":
+        """Sizing for sharded runs: 8 clients keep the rendezvous map
+        non-degenerate (every shard gets a client) across CI seeds 1..20."""
+        return cls(shards=shards, **{"num_clients": 8, "max_events": 3, **overrides})
+
     def system_config(self, seed: int) -> SystemConfig:
         return SystemConfig(
             mode=self.mode,
@@ -94,6 +115,7 @@ class FaultLabConfig:
             intro_batch_size=self.intro_batch_size,
             checkpoint_delta_interval=self.checkpoint_delta_interval,
             store_compaction_interval=self.store_compaction_interval,
+            shards=self.shards,
             tracing=True,
         )
 
@@ -121,20 +143,26 @@ class MetricWindow:
 
 @dataclass
 class FaultLabResult:
-    """One schedule's verdict."""
+    """One schedule's verdict. With S > 1 shards, ``report`` holds every
+    shard's violations, then the cross-shard ones."""
 
     schedule: FaultSchedule
     report: InvariantReport
     end_time: float
     trace_events: int
-    deployment: object = field(default=None, repr=False)
-    adversary: object = field(default=None, repr=False)
+    deployment: Optional[ShardedDeployment] = field(default=None, repr=False)
+    #: One :class:`~repro.system.adversary.Adversary` per shard.
+    adversaries: Tuple[Adversary, ...] = field(default=(), repr=False)
     metric_windows: Tuple[MetricWindow, ...] = ()
     #: WatchLab (lab.detectors): the health events the online detector
     #: suite raised during the run, and each injected fault scored
     #: against them (with fault→detection latency).
     health_events: Tuple = ()
     detections: Tuple = ()
+    shard_reports: Tuple[InvariantReport, ...] = ()
+    #: Cross-shard commits completed / rejected (always 0 at S = 1).
+    cross_committed: int = 0
+    cross_rejected: int = 0
 
     @property
     def ok(self) -> bool:
@@ -148,24 +176,142 @@ class FaultLabResult:
         status = "PASS" if self.ok else "FAIL"
         line = (
             f"{status} seed={self.schedule.seed} events={len(self.schedule)} "
-            f"t_end={self.end_time:.1f} :: {self.report.summary().splitlines()[0]}"
+            f"t_end={self.end_time:.1f}"
         )
+        if len(self.shard_reports) > 1:
+            per_shard = " ".join(
+                f"s{shard}:{'ok' if report.ok else len(report.violations)}"
+                for shard, report in enumerate(self.shard_reports)
+            )
+            total = self.cross_committed + self.cross_rejected
+            line += f" xs={self.cross_committed}/{total} [{per_shard}]"
+        line += f" :: {self.report.summary().splitlines()[0]}"
         if self.detections:
             line += f" :: detected {self.detected_faults}/{len(self.detections)} faults"
         return line
 
 
 def schedule_for_seed(seed: int, lab: Optional[FaultLabConfig] = None) -> FaultSchedule:
-    """Generate the schedule a sweep would run for ``seed``."""
+    """Generate the schedule a sweep would run for ``seed``: shard-scoped
+    when ``lab.shards > 1``, host/site-scoped otherwise."""
     lab = lab or FaultLabConfig()
-    deployment = build(lab.system_config(seed))
+    if lab.shards > 1:
+        return generate_shard_schedule(seed, lab)
     space = space_for(
-        deployment,
+        replica_layout(lab.system_config(seed)),
         start=lab.fault_start,
         horizon=lab.horizon,
         max_events=lab.max_events,
     )
     return generate_schedule(seed, space)
+
+
+class ArmedRun:
+    """A built, not yet started deployment with FaultLab attached: one
+    :class:`InvariantChecker` per shard, every fault event, optionally
+    metric windows and, with ``detectors``, the online detector suite
+    (which only *reads* the tracer, so detector runs replay the same
+    traces as bare ones). Run the deployment, then :meth:`score`."""
+
+    def __init__(
+        self,
+        deployment: ShardedDeployment,
+        schedule: FaultSchedule,
+        quiesce_at: float,
+        detectors: bool = False,
+        detector_config=None,
+        metric_windows: bool = False,
+    ):
+        self.deployment = deployment
+        self.schedule = schedule
+        sharded = deployment.num_shards > 1
+        self.adversaries = [Adversary(shard) for shard in deployment.shards]
+        self.checkers = [
+            InvariantChecker(
+                shard,
+                adversary,
+                quiesce_at=quiesce_at,
+                namespace=f"s{shard_id}." if sharded else "",
+            ).attach()
+            for shard_id, (shard, adversary) in enumerate(
+                zip(deployment.shards, self.adversaries)
+            )
+        ]
+        # Snapshot timers go in before the fault callbacks so that, at the
+        # same virtual instant, the registry is read *before* the fault
+        # flips — the kernel drains same-time events in insertion order.
+        self.windows = (
+            _install_metric_windows(schedule, deployment) if metric_windows else []
+        )
+        install_events(schedule, deployment, self.adversaries)
+
+        self.suite = None
+        if detectors:
+            from repro.obs.watch.detectors import DetectorSuite
+
+            self.suite = DetectorSuite(
+                now_fn=lambda: deployment.kernel.now, config=detector_config
+            ).attach(deployment.tracer)
+            self.suite.watch_hosts(
+                [h for shard in deployment.shards for h in shard.replicas]
+            )
+            self.suite.restrict_exposure(
+                [h for shard in deployment.shards for h in shard.data_center_hosts]
+            )
+
+    def score(self, end_time: float, keep_deployment: bool = False) -> FaultLabResult:
+        """Finish every checker, audit the cross-shard obligations (S > 1),
+        and score the injected faults against the detector suite."""
+        deployment = self.deployment
+        shard_reports = tuple(checker.finish() for checker in self.checkers)
+        report = shard_reports[0]
+        if deployment.num_shards > 1:
+            report = InvariantReport(
+                violations=tuple(
+                    v for shard_report in shard_reports for v in shard_report.violations
+                ) + tuple(check_cross_shard_consistency(deployment, end_time)),
+                skipped={
+                    name: reason
+                    for shard_report in shard_reports
+                    for name, reason in shard_report.skipped.items()
+                },
+                checked=report.checked + CROSS_SHARD_INVARIANTS,
+            )
+
+        health_events: Tuple = ()
+        detections: Tuple = ()
+        if self.suite is not None:
+            from repro.obs.watch.detectors import match_detections
+
+            self.suite.poll(end_time)
+            health_events = tuple(self.suite.drain())
+            faults = [
+                realised
+                for event in self.schedule.events
+                for realised in expand_event(event, deployment)[1]
+            ]
+            detections = tuple(match_detections(faults, health_events))
+            latency_hist = deployment.metrics.histogram("faultlab.detection_latency")
+            for match in detections:
+                if match.latency is not None:
+                    latency_hist.observe(match.latency)
+            self.suite.detach()
+
+        coordinator = deployment.coordinator
+        return FaultLabResult(
+            schedule=self.schedule,
+            report=report,
+            end_time=end_time,
+            trace_events=len(deployment.tracer.events),
+            deployment=deployment if keep_deployment else None,
+            adversaries=tuple(self.adversaries) if keep_deployment else (),
+            metric_windows=tuple(_finalize_metric_windows(self.windows, deployment)),
+            health_events=health_events,
+            detections=detections,
+            shard_reports=shard_reports,
+            cross_committed=len(coordinator.completed) if coordinator else 0,
+            cross_rejected=len(coordinator.rejected) if coordinator else 0,
+        )
 
 
 def run_schedule(
@@ -177,11 +323,8 @@ def run_schedule(
     """Replay ``schedule`` against a fresh deployment and check invariants.
 
     With ``lab.detectors`` (or an explicit ``detector_config``, a
-    :class:`~repro.obs.watch.detectors.DetectorConfig`), the online
-    anomaly-detector suite rides along on the deployment's tracer and the
-    result carries its health events plus a per-fault detection verdict.
-    The suite only *reads* the tracer, so detector runs replay the exact
-    same traces as bare ones.
+    :class:`~repro.obs.watch.detectors.DetectorConfig`), the result
+    carries health events and a per-fault detection verdict.
     """
     lab = lab or FaultLabConfig()
     validate_schedule(schedule)
@@ -200,69 +343,41 @@ def run_schedule(
             config, store_dir=tempdir, store_fsync=lab.store_fsync
         )
 
-    deployment = build(config)
-    adversary = Adversary(deployment)
+    deployment = build_sharded(config)
     quiesce_at = max(schedule.clear_time, lab.horizon)
-    checker = InvariantChecker(deployment, adversary, quiesce_at=quiesce_at).attach()
-
-    # Snapshot timers go in before the fault callbacks so that, at the
-    # same virtual instant, the registry is read *before* the fault flips —
-    # the kernel drains same-time events in insertion order.
-    windows = _install_metric_windows(schedule, deployment)
-    _install_events(schedule, deployment, adversary)
-
-    suite = None
-    if lab.detectors or detector_config is not None:
-        from repro.obs.watch.detectors import DetectorSuite
-
-        suite = DetectorSuite(
-            now_fn=lambda: deployment.kernel.now, config=detector_config
-        ).attach(deployment.tracer)
-        suite.watch_hosts(deployment.replicas.keys())
-        suite.restrict_exposure(deployment.data_center_hosts)
-
     try:
+        armed = ArmedRun(
+            deployment,
+            schedule,
+            quiesce_at,
+            detectors=lab.detectors or detector_config is not None,
+            detector_config=detector_config,
+            # Window snapshots are kernel events, and pre-order picks its
+            # retransmission peer from kernel.events_processed: sharded
+            # sweeps never had them, so they stay off there to keep those
+            # traces unchanged.
+            metric_windows=deployment.num_shards == 1,
+        )
         deployment.start()
         end_time = quiesce_at + lab.quiescence
         # Clients keep submitting through the faults and for a short stretch
         # past quiescence, so the liveness invariant has fresh updates to watch
         # complete; the remaining quiet time lets retransmissions drain.
-        deployment.start_workload(duration=quiesce_at + lab.quiescence * 0.4)
-        deployment.run(until=end_time)
-
-        report = checker.finish()
-        health_events: Tuple = ()
-        detections: Tuple = ()
-        if suite is not None:
-            from repro.obs.watch.detectors import match_detections
-
-            suite.poll(end_time)
-            health_events = tuple(suite.drain())
-            detections = tuple(
-                match_detections(schedule.events, health_events)
-            )
-            latency_hist = deployment.metrics.histogram("faultlab.detection_latency")
-            for match in detections:
-                if match.latency is not None:
-                    latency_hist.observe(match.latency)
-            suite.detach()
-        return FaultLabResult(
-            schedule=schedule,
-            report=report,
-            end_time=end_time,
-            trace_events=len(deployment.tracer.events),
-            deployment=deployment if keep_deployment else None,
-            adversary=adversary if keep_deployment else None,
-            metric_windows=tuple(_finalize_metric_windows(windows, deployment)),
-            health_events=health_events,
-            detections=detections,
+        deployment.start_workload(
+            duration=quiesce_at + lab.quiescence * 0.4,
+            cross_shard_every=lab.cross_shard_every,
         )
+        deployment.run(until=end_time)
+        return armed.score(end_time, keep_deployment)
     finally:
         if needs_store:
-            for replica in deployment.replicas.values():
-                replica.store.close()
-        if tempdir is not None and not keep_deployment:
-            shutil.rmtree(tempdir, ignore_errors=True)
+            for shard in deployment.shards:
+                for replica in shard.replicas.values():
+                    replica.store.close()
+        if not keep_deployment:
+            deployment.shutdown()
+            if tempdir is not None:
+                shutil.rmtree(tempdir, ignore_errors=True)
 
 
 def sweep(
@@ -372,62 +487,109 @@ def _finalize_metric_windows(windows: List[dict], deployment) -> List[MetricWind
 # Event installation
 # ---------------------------------------------------------------------------
 
-def _install_events(schedule: FaultSchedule, deployment, adversary: Adversary) -> None:
-    kernel = deployment.kernel
+def expand_event(
+    event: FaultEvent, deployment: ShardedDeployment
+) -> Tuple[int, Tuple[FaultEvent, ...]]:
+    """Resolve ``event`` to its shard and the host/site-scoped events that
+    realise it there; only shard kinds are valid at S > 1.
+
+    ``shard_kill_proposers`` kills lead first: Prime's view-0 leader is
+    the first on-premises host, so staggered kills always hit the replica
+    currently driving the shard's order.
+    """
+    if event.kind not in SHARD_KINDS:
+        if deployment.num_shards > 1:
+            raise ConfigurationError(
+                f"non-shard fault kind {event.kind!r} in a schedule for "
+                f"{deployment.num_shards} shards; host/site-scoped kinds "
+                "need a single-shard deployment"
+            )
+        return 0, (event,)
+    index = int(event.target[1:])
+    if index >= deployment.num_shards:
+        raise ConfigurationError(
+            f"{event.describe()} targets shard {index} but the deployment "
+            f"has only {deployment.num_shards}"
+        )
+    shard = deployment.shards[index]
+    if event.kind == "shard_partition":
+        sites = sorted({shard.site_of_host(host) for host in shard.on_premises_hosts})
+        site = sites[int(event.param("site_index", 0)) % len(sites)]
+        return index, (make_event(event.at, "isolate", site, event.until),)
+    count = max(1, int(event.param("count", 1)))
+    duration = float(event.param("duration", 3.0))
+    stagger = float(event.param("stagger", 0.6))
+    return index, tuple(
+        make_event(event.at + position * stagger, "recover", host, duration=duration)
+        for position, host in enumerate(list(shard.on_premises_hosts)[:count])
+    )
+
+
+def install_events(
+    schedule: FaultSchedule,
+    deployment: ShardedDeployment,
+    adversaries: List[Adversary],
+) -> None:
+    """Install every fault window as kernel callbacks on its shard."""
     for event in schedule.events:
-        if event.kind == "compromise":
-            behaviors = tuple(Behavior(b) for b in event.param("behaviors"))
-            kernel.call_at(
-                event.at, adversary.compromise, event.target, *behaviors
-            )
-            kernel.call_at(event.until, adversary.release, event.target)
-        elif event.kind == "isolate":
-            kernel.call_at(event.at, deployment.attacks.isolate_site, event.target)
-            kernel.call_at(event.until, deployment.attacks.reconnect_site, event.target)
-        elif event.kind == "degrade":
-            kernel.call_at(
-                event.at,
-                deployment.attacks.degrade_site,
-                event.target,
-                event.param("bandwidth_divisor", 10.0),
-                event.param("added_latency", 0.020),
-                event.param("loss", 0.02),
-            )
-            kernel.call_at(event.until, deployment.attacks.restore_site, event.target)
-        elif event.kind == "loss":
-            probability = event.param("probability", 0.05)
-            base = deployment.config.wan_loss_probability
-            kernel.call_at(event.at, deployment.network.set_wan_loss, probability)
-            kernel.call_at(event.until, deployment.network.set_wan_loss, base)
-        elif event.kind == "skew":
-            kernel.call_at(
-                event.at,
-                deployment.network.set_delivery_skew,
-                event.target,
-                event.param("skew", 0.02),
-            )
-            kernel.call_at(
-                event.until, deployment.network.clear_delivery_skew, event.target
-            )
-        elif event.kind == "recover":
-            deployment.recovery.schedule_recovery(
-                event.target, event.at, event.param("duration", 3.0)
-            )
-        elif event.kind in STORE_KINDS:
-            # Crash the replica, then damage its durable store while it is
-            # down; the recovery's respawn must detect the damage and fall
-            # back to network transfer for whatever was lost. Damage is
-            # registered AFTER schedule_recovery so the same-instant kernel
-            # drain runs go_down first (insertion order).
-            deployment.recovery.schedule_recovery(
-                event.target, event.at, float(event.param("duration", 3.0))
-            )
-            kernel.call_at(event.at, _damage_store, deployment, event)
-        elif event.kind == "leak":
-            host = event.target or deployment.on_premises_hosts[0]
-            kernel.call_at(event.at, adversary.exfiltrate_plaintext, host)
-        else:  # pragma: no cover - validate_schedule rejects unknown kinds
-            raise ConfigurationError(f"unknown fault kind {event.kind!r}")
+        index, realised = expand_event(event, deployment)
+        for host_event in realised:
+            _install_event(host_event, deployment.shards[index], adversaries[index])
+
+
+def _install_event(event: FaultEvent, deployment, adversary: Adversary) -> None:
+    kernel = deployment.kernel
+    if event.kind == "compromise":
+        behaviors = tuple(Behavior(b) for b in event.param("behaviors"))
+        kernel.call_at(event.at, adversary.compromise, event.target, *behaviors)
+        kernel.call_at(event.until, adversary.release, event.target)
+    elif event.kind == "isolate":
+        kernel.call_at(event.at, deployment.attacks.isolate_site, event.target)
+        kernel.call_at(event.until, deployment.attacks.reconnect_site, event.target)
+    elif event.kind == "degrade":
+        kernel.call_at(
+            event.at,
+            deployment.attacks.degrade_site,
+            event.target,
+            event.param("bandwidth_divisor", 10.0),
+            event.param("added_latency", 0.020),
+            event.param("loss", 0.02),
+        )
+        kernel.call_at(event.until, deployment.attacks.restore_site, event.target)
+    elif event.kind == "loss":
+        probability = event.param("probability", 0.05)
+        base = deployment.config.wan_loss_probability
+        kernel.call_at(event.at, deployment.network.set_wan_loss, probability)
+        kernel.call_at(event.until, deployment.network.set_wan_loss, base)
+    elif event.kind == "skew":
+        kernel.call_at(
+            event.at,
+            deployment.network.set_delivery_skew,
+            event.target,
+            event.param("skew", 0.02),
+        )
+        kernel.call_at(
+            event.until, deployment.network.clear_delivery_skew, event.target
+        )
+    elif event.kind == "recover":
+        deployment.recovery.schedule_recovery(
+            event.target, event.at, event.param("duration", 3.0)
+        )
+    elif event.kind in STORE_KINDS:
+        # Crash the replica, then damage its durable store while it is
+        # down; the recovery's respawn must detect the damage and fall
+        # back to network transfer for whatever was lost. Damage is
+        # registered AFTER schedule_recovery so the same-instant kernel
+        # drain runs go_down first (insertion order).
+        deployment.recovery.schedule_recovery(
+            event.target, event.at, float(event.param("duration", 3.0))
+        )
+        kernel.call_at(event.at, _damage_store, deployment, event)
+    elif event.kind == "leak":
+        host = event.target or deployment.on_premises_hosts[0]
+        kernel.call_at(event.at, adversary.exfiltrate_plaintext, host)
+    else:
+        raise ConfigurationError(f"unknown fault kind {event.kind!r}")
 
 
 def _damage_store(deployment, event) -> None:

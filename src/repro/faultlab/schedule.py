@@ -36,9 +36,8 @@ from repro.system.adversary import Behavior
 #: storage kinds (``torn_write``/``corrupt_segment``) are likewise explicit
 #: only: adding them to the random pool would regenerate every existing
 #: seed's schedule, invalidating the sweep baselines. The shard kinds are
-#: generated only by the dedicated ShardLab sweep
-#: (:func:`repro.faultlab.shardfaults.generate_shard_schedule`), never by
-#: :func:`generate_schedule`, for the same reason.
+#: generated only for sharded sweeps (:func:`generate_shard_schedule`),
+#: never by :func:`generate_schedule`, for the same reason.
 KINDS = (
     "compromise", "isolate", "degrade", "loss", "skew", "recover", "leak",
     "torn_write", "corrupt_segment",
@@ -287,7 +286,8 @@ class ScheduleSpace:
 
 def space_for(deployment, start: float = 1.5, horizon: float = 9.0,
               max_events: int = 6) -> ScheduleSpace:
-    """Build a :class:`ScheduleSpace` from a live deployment's shape."""
+    """Build a :class:`ScheduleSpace` from a deployment's shape (a built
+    deployment, or the keygen-free :class:`~repro.rt.bootstrap.ReplicaLayout`)."""
     sites = tuple(sorted({
         deployment.site_of_host(host)
         for host in deployment.on_premises_hosts + deployment.data_center_hosts
@@ -327,7 +327,7 @@ def generate_schedule(seed: int, space: ScheduleSpace) -> FaultSchedule:
     count = rng.randint(1, space.max_events)
     for _ in range(count):
         kind = _pick_kind(rng)
-        window = _fit_window(rng, space, {
+        window = _fit_window(rng, space.start, space.horizon, {
             "compromise": compromise_windows,
             "isolate": site_windows,
             "degrade": site_windows,
@@ -397,21 +397,76 @@ def _pick_kind(rng: random.Random) -> str:
 
 def _fit_window(
     rng: random.Random,
-    space: ScheduleSpace,
+    start: float,
+    horizon: float,
     taken: List[Tuple[float, float]],
     max_f: int,
+    min_duration: float = 0.5,
     attempts: int = 8,
 ) -> Optional[Tuple[float, float]]:
-    """A [at, until] window inside [start, horizon] that overlaps fewer
-    than ``max_f`` windows already in ``taken``; None if none fits."""
+    """A [at, until] window inside [start, horizon], at least
+    ``min_duration`` long, that overlaps fewer than ``max_f`` windows
+    already in ``taken``; None if none fits."""
     for _ in range(attempts):
-        duration = rng.uniform(0.5, 3.0)
-        latest_start = space.horizon - duration
-        if latest_start <= space.start:
+        duration = rng.uniform(min_duration, 3.0)
+        latest_start = horizon - duration
+        if latest_start <= start:
             continue
-        at = round(rng.uniform(space.start, latest_start), 2)
-        until = round(min(at + duration, space.horizon), 2)
+        at = round(rng.uniform(start, latest_start), 2)
+        until = round(min(at + duration, horizon), 2)
         overlapping = sum(1 for s, e in taken if at < e and s < until)
         if overlapping < max_f:
             return (at, until)
     return None
+
+
+def generate_shard_schedule(seed: int, lab) -> FaultSchedule:
+    """A seeded timeline of shard-scoped faults for ``lab`` (a
+    :class:`~repro.faultlab.runner.FaultLabConfig` with ``shards`` > 1).
+
+    Constraints by construction: at most one fault window is open per
+    shard at a time (so a partitioned shard is never also mid-recovery),
+    and every window closes by the horizon. The RNG is salted with a
+    string so shard schedules never alias the classic per-seed pool."""
+    rng = random.Random(f"shardfaults-{seed}")
+    events: List[FaultEvent] = []
+    open_windows: Dict[int, List[Tuple[float, float]]] = {
+        shard: [] for shard in range(lab.shards)
+    }
+
+    count = rng.randint(1, lab.max_events)
+    for _ in range(count):
+        kind = rng.choice(SHARD_KINDS)
+        shard = rng.randrange(lab.shards)
+        window = _fit_window(
+            rng, lab.fault_start, lab.horizon, open_windows[shard],
+            max_f=1, min_duration=1.2,
+        )
+        if window is None:
+            continue
+        at, until = window
+        open_windows[shard].append(window)
+        if kind == "shard_partition":
+            events.append(
+                make_event(
+                    at, "shard_partition", f"s{shard}", until,
+                    site_index=rng.randrange(2),
+                )
+            )
+        else:  # shard_kill_proposers
+            kills = rng.choice((1, 2))
+            stagger = 0.6
+            duration = round(
+                max(0.8, (until - at - stagger * (kills - 1)) / kills), 2
+            )
+            events.append(
+                make_event(
+                    at, "shard_kill_proposers", f"s{shard}",
+                    count=kills, duration=duration, stagger=stagger,
+                )
+            )
+
+    events.sort(key=lambda e: (e.at, e.kind, e.target))
+    schedule = FaultSchedule(seed=seed, horizon=lab.horizon, events=tuple(events))
+    validate_schedule(schedule)
+    return schedule

@@ -16,7 +16,10 @@ both verdicts:
 
 Fault targets are resolved against the built deployment at run time
 (the current leader, its site, a shard's proposers), so scenarios stay
-valid as topologies change.
+valid as topologies change. Every scenario builds through
+:func:`~repro.shard.builder.build_sharded` (one shard unless it says
+otherwise) and is armed and scored by FaultLab's runner
+(:class:`repro.faultlab.runner.ArmedRun`).
 
 Catalog (``repro load scenario --list``):
 
@@ -49,7 +52,7 @@ from repro.errors import ConfigurationError
 from repro.faultlab.schedule import FaultSchedule, make_event, validate_schedule
 from repro.load.generator import LoadConfig, LoadGenerator
 
-#: deployment -> fault events, resolved against the live topology.
+#: sharded deployment -> fault events, resolved against the live topology.
 FaultBuilder = Callable[[object], Tuple]
 
 
@@ -58,8 +61,9 @@ FaultBuilder = Callable[[object], Tuple]
 # ---------------------------------------------------------------------------
 
 def _non_leader_onprem(deployment) -> str:
-    leader = deployment.current_leader()
-    return next(h for h in deployment.on_premises_hosts if h != leader)
+    group = deployment.shards[0]
+    leader = group.current_leader()
+    return next(h for h in group.on_premises_hosts if h != leader)
 
 
 def _burst_recover(deployment):
@@ -78,14 +82,15 @@ def _storm_leak(deployment):
 
 
 def _leader_site_disconnect(deployment):
-    site = deployment.site_of_host(deployment.current_leader())
+    group = deployment.shards[0]
+    site = group.site_of_host(group.current_leader())
     return (make_event(4.0, "isolate", site, until=9.0),)
 
 
 def _staggered_proposer_kills(deployment):
     # Prime's view-0 leader is the first on-premises host; killing it and
     # then its successor forces two view changes back to back.
-    hosts = list(deployment.on_premises_hosts)
+    hosts = list(deployment.shards[0].on_premises_hosts)
     return (
         make_event(3.5, "recover", hosts[0], duration=5.0),
         make_event(9.0, "recover", hosts[1], duration=5.0),
@@ -253,40 +258,11 @@ class LoadScenarioResult:
         return line
 
 
-def _detection_events(events, deployment):
-    """Translate shard-scoped fault events into the per-host events the
-    detector-coverage matcher understands; pass everything else through."""
-    translated = []
-    for event in events:
-        if event.kind == "shard_kill_proposers":
-            shard = deployment.shards[int(event.target[1:])]
-            count = max(1, int(event.param("count", 1)))
-            stagger = float(event.param("stagger", 0.6))
-            duration = float(event.param("duration", 3.0))
-            for index, host in enumerate(list(shard.on_premises_hosts)[:count]):
-                translated.append(
-                    make_event(event.at + index * stagger, "recover", host,
-                               duration=duration)
-                )
-        else:
-            translated.append(event)
-    return translated
-
-
 def run_load_scenario(name: str, seed: int = 11, quick: bool = False,
                       keep_deployment: bool = False) -> LoadScenarioResult:
     """Run one named scenario on the sim substrate and score it."""
-    from repro.faultlab.invariants import InvariantChecker
-    from repro.faultlab.runner import _install_events
-    from repro.faultlab.shardfaults import (
-        ShardInvariantChecker,
-        check_cross_shard_consistency,
-        install_shard_events,
-    )
-    from repro.obs.watch.detectors import DetectorSuite, match_detections
+    from repro.faultlab.runner import ArmedRun
     from repro.shard.builder import build_sharded
-    from repro.system import build
-    from repro.system.adversary import Adversary
     from repro.system.config import SystemConfig
 
     scenario = SCENARIOS.get(name)
@@ -309,8 +285,7 @@ def run_load_scenario(name: str, seed: int = 11, quick: bool = False,
         key_renewal_enabled=scenario.key_renewal,
         key_validity=scenario.key_validity,
     )
-    sharded = scenario.shards > 1
-    deployment = build_sharded(config) if sharded else build(config)
+    deployment = build_sharded(config)
 
     events = tuple(scenario.faults(deployment))
     load_start = 0.5
@@ -320,37 +295,10 @@ def run_load_scenario(name: str, seed: int = 11, quick: bool = False,
     quiesce_at = max(schedule.clear_time, horizon * 0.75)
     end_time = horizon + 6.0
 
-    # Invariant checkers: one per shard (namespace-filtered) when sharded,
-    # the classic single checker otherwise.
-    if sharded:
-        checkers = [
-            ShardInvariantChecker(
-                shard, Adversary(shard), quiesce_at=quiesce_at,
-                namespace=f"s{shard_id}.",
-            ).attach()
-            for shard_id, shard in enumerate(deployment.shards)
-        ]
-        install_shard_events(schedule, deployment)
-        watch = [h for shard in deployment.shards for h in shard.replicas]
-        exposure = [
-            h for shard in deployment.shards for h in shard.data_center_hosts
-        ]
-    else:
-        adversary = Adversary(deployment)
-        checkers = [
-            InvariantChecker(deployment, adversary, quiesce_at=quiesce_at).attach()
-        ]
-        _install_events(schedule, deployment, adversary)
-        watch = list(deployment.replicas)
-        exposure = list(deployment.data_center_hosts)
-
-    suite = DetectorSuite(now_fn=lambda: deployment.kernel.now)
-    suite.attach(deployment.tracer)
-    suite.watch_hosts(watch)
-    suite.restrict_exposure(exposure)
+    armed = ArmedRun(deployment, schedule, quiesce_at, detectors=True)
 
     hot_clients: Tuple[str, ...] = ()
-    if scenario.hot_fraction > 0 and sharded:
+    if scenario.hot_fraction > 0 and deployment.num_shards > 1:
         hot_clients = tuple(sorted(
             cid for cid in deployment.routers
             if deployment.shard_of_client(cid) == 0
@@ -378,14 +326,8 @@ def run_load_scenario(name: str, seed: int = 11, quick: bool = False,
         deployment.run(until=end_time)
 
         stats = generator.stats().to_dict()
-        reports = [checker.finish() for checker in checkers]
-        violations = [
-            v for report in reports for v in report.violations
-        ]
-        if sharded:
-            violations.extend(
-                check_cross_shard_consistency(deployment, end_time)
-            )
+        scored = armed.score(end_time)
+        violations = list(scored.report.violations)
 
         breach_caught: Optional[bool] = None
         if scenario.planted_breach:
@@ -398,12 +340,7 @@ def run_load_scenario(name: str, seed: int = 11, quick: bool = False,
             ]
         invariants_ok = not violations
 
-        suite.poll(end_time)
-        health = suite.drain()
-        suite.detach()
-        matches = match_detections(
-            _detection_events(schedule.events, deployment), health
-        )
+        matches = scored.detections
         undetected = [
             f"{m.fault_kind} {m.fault_target}".strip()
             for m in matches if not m.detected
@@ -440,7 +377,7 @@ def run_load_scenario(name: str, seed: int = 11, quick: bool = False,
                 for m in matches
             ],
             undetected=undetected,
-            health_events=len(health),
+            health_events=len(scored.health_events),
             end_time=end_time,
         )
     finally:

@@ -68,7 +68,6 @@ def run_point(
 ) -> Dict:
     """One open-loop run at one offered rate; returns the stats dict."""
     from repro.shard.builder import build_sharded
-    from repro.system import build
     from repro.system.config import SystemConfig
 
     config = SystemConfig(
@@ -83,7 +82,7 @@ def run_point(
         shards=shards,
         tracing=False,
     )
-    deployment = build_sharded(config) if shards > 1 else build(config)
+    deployment = build_sharded(config)
     deployment.start()
     generator = LoadGenerator(
         deployment,

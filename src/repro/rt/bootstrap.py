@@ -41,16 +41,37 @@ from repro.system.config import Mode, SystemConfig
 
 
 @dataclass
-class SystemMaterial:
-    """Everything derivable from (config, seed): geography, roles, keys.
-
-    Identical in every process of a deployment; never crosses the wire.
-    """
+class ReplicaLayout:
+    """The keygen-free part of the material: plan, geography, placement
+    (enough for e.g. FaultLab's schedule space, without building)."""
 
     plan: DistributionPlan
     topology: Topology
     on_premises_hosts: Tuple[str, ...]
     data_center_hosts: Tuple[str, ...]
+
+    def site_of_host(self, host: str) -> str:
+        return self.topology.site_of(host).name
+
+
+def replica_layout(config: SystemConfig, namespace: str = "") -> ReplicaLayout:
+    """The distribution plan, topology, and replica placement for ``config``."""
+    if config.confidential:
+        plan = plan_confidential(config.f, config.data_centers)
+    else:
+        plan = plan_spire(config.f, config.data_centers)
+    topology = east_coast_topology(config.data_centers)
+    on_prem_hosts, dc_hosts = _place_replicas(topology, plan, namespace)
+    return ReplicaLayout(plan, topology, on_prem_hosts, dc_hosts)
+
+
+@dataclass
+class SystemMaterial(ReplicaLayout):
+    """Everything derivable from (config, seed): geography, roles, keys.
+
+    Identical in every process of a deployment; never crosses the wire.
+    """
+
     all_hosts: Tuple[str, ...]
     executing_hosts: Tuple[str, ...]
     prime_config: PrimeConfig
@@ -96,13 +117,9 @@ def generate_material(
       gateway proxy host, so a cross-shard commit signed by a foreign
       client introduces through the normal pipeline.
     """
-    if config.confidential:
-        plan = plan_confidential(config.f, config.data_centers)
-    else:
-        plan = plan_spire(config.f, config.data_centers)
-
-    topology = east_coast_topology(config.data_centers)
-    on_prem_hosts, dc_hosts = _place_replicas(topology, plan, namespace)
+    layout = replica_layout(config, namespace)
+    plan, topology = layout.plan, layout.topology
+    on_prem_hosts, dc_hosts = layout.on_premises_hosts, layout.data_center_hosts
     all_hosts = on_prem_hosts + dc_hosts
 
     prime_config = PrimeConfig(

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional
 from repro.core.app import Application, KeyValueApplication
 from repro.crypto.rsa import generate_keypair
 from repro.errors import ConfigurationError
-from repro.obs import NULL_METRICS, MetricsRegistry, SpanTracker
+from repro.obs import MetricsRegistry, SpanTracker
 from repro.rt.bootstrap import validate_client_ids
 from repro.shard.app import ShardAwareApplication, ShardCrossContext
 from repro.shard.coordinator import CrossShardCoordinator
@@ -41,15 +41,18 @@ from repro.shard.messages import ShardMapAnnounce
 from repro.shard.router import ShardRouter
 from repro.shard.shardmap import ShardMap, shard_seed
 from repro.sim.kernel import Kernel
-from repro.sim.process import Process, Timeout, spawn
+from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
-from repro.system.builder import BodyFn, Deployment, GroupContext, build
+from repro.system.builder import (
+    BodyFn,
+    Deployment,
+    build,
+    default_body,
+    shared_world,
+    spawn_workload,
+)
 from repro.system.config import SystemConfig
-
-
-def _default_body(client_id: str, seq: int) -> bytes:
-    return f"SET {client_id}-key-{seq % 17} value-{seq}".encode("utf-8")
 
 
 @dataclass
@@ -95,12 +98,6 @@ class ShardedDeployment:
         """Every client's home-shard proxy, across all shards."""
         return {cid: router.proxy for cid, router in self.routers.items()}
 
-    def completed_count(self) -> int:
-        """Total completed client updates across every home proxy."""
-        return sum(
-            len(proxy.completed) for proxy in self.proxies().values()
-        )
-
     def latencies(self) -> List[float]:
         """Every completed update's latency, across all shards."""
         return [
@@ -124,52 +121,34 @@ class ShardedDeployment:
         With ``cross_shard_every = N > 0`` (and S > 1), every Nth update
         per client writes a key owned by the *key's* shard — usually a
         foreign one — and flows through the two-phase cross-shard path.
+        At S = 1 the routers are inert and the run is the classic one.
         """
-        if len(self.shards) == 1:
-            # Single shard: delegate to the classic workload generator so
-            # the whole run stays byte-identical to an unsharded build.
-            return self.shards[0].start_workload(
-                body_fn=body_fn,
-                duration=duration,
-                interval=interval,
-                start_at=start_at,
-            )
-        interval = interval if interval is not None else self.config.update_interval
-        body_fn = body_fn or _default_body
-        processes = []
-        client_ids = sorted(self.routers)
-        for index, client_id in enumerate(client_ids):
-            phase = start_at + (index / max(1, len(client_ids))) * interval
-            jitter_rng = self.rng.stream(f"workload.{client_id}")
+        body_fn = body_fn or default_body
+        if self.num_shards == 1:
+            cross_shard_every = 0
 
-            def gen(
-                router=self.routers[client_id],
-                cid=client_id,
-                phase=phase,
-                rng=jitter_rng,
-            ):
-                yield Timeout(phase)
-                seq = 0
-                while duration is None or self.kernel.now < start_at + duration:
-                    seq += 1
-                    if cross_shard_every and seq % cross_shard_every == 0:
-                        # A multi-key update touching a key the shard map
-                        # assigns to some shard — the router adds home,
-                        # so the participant set crosses a boundary
-                        # whenever the key lives elsewhere.
-                        key = f"xkey-{cid}-{seq % 5}"
-                        body = f"SET {key} xvalue-{seq}".encode("utf-8")
-                        router.submit_cross(
-                            body, {self.shard_map.key_shard(key)}
-                        )
-                    else:
-                        router.submit(body_fn(cid, seq))
-                    yield Timeout(interval * rng.uniform(0.9, 1.1))
+        def submitter(router, cid):
+            def submit(seq):
+                if cross_shard_every and seq % cross_shard_every == 0:
+                    # A multi-key update touching a key the shard map
+                    # assigns to some shard — the router adds home, so
+                    # the participant set crosses a boundary whenever
+                    # the key lives elsewhere.
+                    key = f"xkey-{cid}-{seq % 5}"
+                    body = f"SET {key} xvalue-{seq}".encode("utf-8")
+                    router.submit_cross(body, {self.shard_map.key_shard(key)})
+                else:
+                    router.submit(body_fn(cid, seq))
+            return submit
 
-            processes.append(
-                spawn(self.kernel, gen(), name=f"workload-{client_id}")
-            )
-        return processes
+        return spawn_workload(
+            self.kernel,
+            self.rng,
+            {cid: submitter(router, cid) for cid, router in self.routers.items()},
+            interval if interval is not None else self.config.update_interval,
+            duration,
+            start_at,
+        )
 
 
 def build_sharded(
@@ -180,48 +159,49 @@ def build_sharded(
     app_factory = app_factory or KeyValueApplication
     shard_map = ShardMap(seed=config.seed, shards=config.shards)
     announce = shard_map.announce()
+    # Routers reconstruct the map from the announce (not the original
+    # object): what a real edge tier would do with the wire message.
+    routing_map = ShardMap.from_announce(announce)
 
     if config.shards == 1:
-        deployment = build(config, app_factory=app_factory)
+        world = build(config, app_factory=app_factory)
+        shards, coordinator, client_ids = [world], None, list(world.proxies)
         routers = {
             cid: ShardRouter(
                 client_id=cid,
                 shard_id=0,
                 proxy=proxy,
-                kernel=deployment.kernel,
+                kernel=world.kernel,
                 inert=True,
             )
-            for cid, proxy in deployment.proxies.items()
+            for cid, proxy in world.proxies.items()
         }
-        return ShardedDeployment(
-            config=config,
-            kernel=deployment.kernel,
-            rng=deployment.rng,
-            tracer=deployment.tracer,
-            metrics=deployment.metrics,
-            spans=deployment.spans,
-            announce=announce,
-            shard_map=ShardMap.from_announce(announce),
-            shards=[deployment],
-            routers=routers,
-            coordinator=None,
-            client_ids=list(deployment.proxies),
+    else:
+        world = shared_world(config)
+        shards, routers, coordinator, client_ids = _build_groups(
+            config, world, shard_map, routing_map, app_factory
         )
-
-    # -- shared world ---------------------------------------------------------
-    kernel = Kernel()
-    rng = RngRegistry(config.seed)
-    tracer = Tracer(kernel, enabled=config.tracing)
-    metrics = (
-        MetricsRegistry(now_fn=lambda: kernel.now)
-        if config.metrics_enabled
-        else NULL_METRICS
+    return ShardedDeployment(
+        config=config,
+        kernel=world.kernel,
+        rng=world.rng,
+        tracer=world.tracer,
+        metrics=world.metrics,
+        spans=world.spans,
+        announce=announce,
+        shard_map=routing_map,
+        shards=shards,
+        routers=routers,
+        coordinator=coordinator,
+        client_ids=client_ids,
     )
-    spans = SpanTracker().attach(tracer) if config.tracing else None
-    metrics.register_gauge("kernel.events_processed", lambda: kernel.events_processed)
-    metrics.register_gauge("kernel.pending_events", lambda: kernel.pending_events)
-    metrics.register_gauge("kernel.timers_scheduled", lambda: kernel.timers_scheduled)
-    metrics.register_gauge("kernel.heap_depth", lambda: kernel.heap_depth)
+
+
+def _build_groups(config, world, shard_map, routing_map, app_factory):
+    """S > 1: one replica group per shard inside ``world``, the routing
+    tier, and the cross-shard coordinator."""
+    kernel, rng, tracer = world.kernel, world.rng, world.tracer
+    metrics = world.metrics
 
     # -- global client identities --------------------------------------------
     client_ids = [f"client-{i:02d}" for i in range(config.num_clients)]
@@ -255,12 +235,9 @@ def build_sharded(
         def shard_app_factory(_shard_id=shard_id):
             return ShardAwareApplication(app_factory(), _shard_id, cross)
 
-        group = GroupContext(
-            kernel=kernel,
+        group = replace(
+            world,
             rng=RngRegistry(shard_config.seed),
-            tracer=tracer,
-            metrics=metrics,
-            spans=spans,
             namespace=f"s{shard_id}.",
             client_ids=local_ids,
             client_keys=client_keys,
@@ -275,9 +252,6 @@ def build_sharded(
     cross.verify_cache = shards[0].env.verify_cache
 
     # -- routing tier ---------------------------------------------------------
-    # Routers reconstruct the map from the announce (not the original
-    # object): what a real edge tier would do with the wire message.
-    routing_map = ShardMap.from_announce(announce)
     coordinator = CrossShardCoordinator(
         kernel=kernel,
         shard_map=routing_map,
@@ -302,17 +276,4 @@ def build_sharded(
                 coordinator=coordinator,
             )
 
-    return ShardedDeployment(
-        config=config,
-        kernel=kernel,
-        rng=rng,
-        tracer=tracer,
-        metrics=metrics,
-        spans=spans,
-        announce=announce,
-        shard_map=routing_map,
-        shards=shards,
-        routers=routers,
-        coordinator=coordinator,
-        client_ids=client_ids,
-    )
+    return shards, routers, coordinator, client_ids

@@ -37,15 +37,15 @@ BodyFn = Callable[[str, int], bytes]
 
 @dataclass
 class GroupContext:
-    """Shared-world parameters for building one group of a sharded deployment.
+    """Shared-world parameters for building one replica group.
 
     ShardLab (``repro.shard``) builds S independent replica groups that share
     one kernel, one tracer, and one metrics registry; each group gets its own
-    RNG registry, topology, and network. Passing a ``GroupContext`` to
-    :func:`build` switches it from "construct the whole world" to "construct
-    one group inside an existing world". ``client_keys`` carries the global
-    client signing keys so every group can verify every client (cross-shard
-    commits are signed by foreign clients).
+    RNG registry, topology, and network. :func:`build` builds one group
+    inside the given world (by default a fresh :func:`shared_world`).
+    ``client_keys`` carries the global client signing keys so every group
+    can verify every client (cross-shard commits are signed by foreign
+    clients).
     """
 
     kernel: "Kernel"
@@ -53,10 +53,69 @@ class GroupContext:
     tracer: Tracer
     metrics: MetricsRegistry
     spans: Optional[SpanTracker]
-    namespace: str
-    client_ids: List[str]
-    client_keys: Dict[str, object]
+    namespace: str = ""
+    client_ids: Optional[List[str]] = None
+    client_keys: Optional[Dict[str, object]] = None
     shard_id: int = 0
+
+
+def shared_world(config: SystemConfig) -> GroupContext:
+    """A fresh world for ``config``: kernel, RNG registry, tracer, metrics,
+    spans, and the kernel gauges."""
+    kernel = Kernel()
+    rng = RngRegistry(config.seed)
+    tracer = Tracer(kernel, enabled=config.tracing)
+
+    metrics = (
+        MetricsRegistry(now_fn=lambda: kernel.now)
+        if config.metrics_enabled
+        else NULL_METRICS
+    )
+    # Causal spans piggyback on the tracer; without tracing there are no
+    # milestone events to observe, so there is nothing to attach.
+    spans = SpanTracker().attach(tracer) if config.tracing else None
+    metrics.register_gauge("kernel.events_processed", lambda: kernel.events_processed)
+    metrics.register_gauge("kernel.pending_events", lambda: kernel.pending_events)
+    metrics.register_gauge("kernel.timers_scheduled", lambda: kernel.timers_scheduled)
+    metrics.register_gauge("kernel.heap_depth", lambda: kernel.heap_depth)
+    return GroupContext(kernel=kernel, rng=rng, tracer=tracer, metrics=metrics, spans=spans)
+
+
+def default_body(client_id: str, seq: int) -> bytes:
+    return f"SET {client_id}-key-{seq % 17} value-{seq}".encode("utf-8")
+
+
+def spawn_workload(
+    kernel: Kernel,
+    rng: RngRegistry,
+    submitters: Dict[str, Callable[[int], object]],
+    interval: float,
+    duration: Optional[float],
+    start_at: float,
+) -> List[Process]:
+    """Spawn the paper's workload: each client submits one update per
+    ``interval`` seconds, phase-staggered, until ``duration``, through
+    ``submitters[client_id](seq)`` (its proxy, or its shard router)."""
+    processes = []
+    client_ids = sorted(submitters)
+    for index, client_id in enumerate(client_ids):
+        phase = start_at + (index / max(1, len(client_ids))) * interval
+        jitter_rng = rng.stream(f"workload.{client_id}")
+
+        def gen(submit=submitters[client_id], phase=phase, rng=jitter_rng):
+            # Field devices poll on nominal intervals but are not
+            # synchronized with each other or with the servers; the
+            # jitter keeps submission phases from aliasing against the
+            # leader's proposal ticks.
+            yield Timeout(phase)
+            seq = 0
+            while duration is None or kernel.now < start_at + duration:
+                seq += 1
+                submit(seq)
+                yield Timeout(interval * rng.uniform(0.9, 1.1))
+
+        processes.append(spawn(kernel, gen(), name=f"workload-{client_id}"))
+    return processes
 
 
 @dataclass
@@ -108,34 +167,20 @@ class Deployment:
         interval: Optional[float] = None,
         start_at: float = 0.5,
     ) -> List[Process]:
-        """Spawn the paper's workload: each client submits one update per
-        ``interval`` seconds, phase-staggered, until ``duration``.
-
-        ``body_fn(client_id, seq)`` produces update bodies; the default
-        issues key-value SETs.
+        """Spawn the paper's workload (:func:`spawn_workload`) through the
+        proxies. ``body_fn(client_id, seq)`` produces update bodies; the
+        default issues key-value SETs.
         """
-        interval = interval if interval is not None else self.config.update_interval
-        body_fn = body_fn or _default_body
-        processes = []
-        client_ids = sorted(self.proxies)
-        for index, client_id in enumerate(client_ids):
-            phase = start_at + (index / max(1, len(client_ids))) * interval
-            jitter_rng = self.rng.stream(f"workload.{client_id}")
-
-            def gen(proxy=self.proxies[client_id], cid=client_id, phase=phase, rng=jitter_rng):
-                # Field devices poll on nominal intervals but are not
-                # synchronized with each other or with the servers; the
-                # jitter keeps submission phases from aliasing against the
-                # leader's proposal ticks.
-                yield Timeout(phase)
-                seq = 0
-                while duration is None or proxy.kernel.now < start_at + duration:
-                    seq += 1
-                    proxy.submit(body_fn(cid, seq))
-                    yield Timeout(interval * rng.uniform(0.9, 1.1))
-
-            processes.append(spawn(self.kernel, gen(), name=f"workload-{client_id}"))
-        return processes
+        body_fn = body_fn or default_body
+        submitters = {
+            cid: (lambda seq, proxy=proxy, cid=cid: proxy.submit(body_fn(cid, seq)))
+            for cid, proxy in self.proxies.items()
+        }
+        return spawn_workload(
+            self.kernel, self.rng, submitters,
+            interval if interval is not None else self.config.update_interval,
+            duration, start_at,
+        )
 
     # -- convenience views -----------------------------------------------------------
 
@@ -156,10 +201,6 @@ class Deployment:
         return self.topology.site_of(host).name
 
 
-def _default_body(client_id: str, seq: int) -> bytes:
-    return f"SET {client_id}-key-{seq % 17} value-{seq}".encode("utf-8")
-
-
 def build(
     config: SystemConfig,
     app_factory: Optional[Callable[[], Application]] = None,
@@ -174,41 +215,19 @@ def build(
     classic single-group build, byte-identical to pre-shard releases.
     """
     app_factory = app_factory or KeyValueApplication
-    if group is None:
-        kernel = Kernel()
-        rng = RngRegistry(config.seed)
-        tracer = Tracer(kernel, enabled=config.tracing)
-
-        metrics = (
-            MetricsRegistry(now_fn=lambda: kernel.now)
-            if config.metrics_enabled
-            else NULL_METRICS
-        )
-        # Causal spans piggyback on the tracer; without tracing there are no
-        # milestone events to observe, so there is nothing to attach.
-        spans = SpanTracker().attach(tracer) if config.tracing else None
-        metrics.register_gauge("kernel.events_processed", lambda: kernel.events_processed)
-        metrics.register_gauge("kernel.pending_events", lambda: kernel.pending_events)
-        metrics.register_gauge("kernel.timers_scheduled", lambda: kernel.timers_scheduled)
-        metrics.register_gauge("kernel.heap_depth", lambda: kernel.heap_depth)
-
-        # Geography, roles, and every key in the system come from the shared
-        # deterministic dealer; live RtLab nodes re-derive the identical
-        # material from (config, seed) in their own processes.
-        material = generate_material(config, rng)
-    else:
-        kernel = group.kernel
-        rng = group.rng
-        tracer = group.tracer
-        metrics = group.metrics
-        spans = group.spans
-        material = generate_material(
-            config,
-            rng,
-            namespace=group.namespace,
-            client_ids=group.client_ids,
-            client_keys=group.client_keys,
-        )
+    group = group or shared_world(config)
+    kernel, rng, tracer = group.kernel, group.rng, group.tracer
+    metrics, spans = group.metrics, group.spans
+    # Geography, roles, and every key in the system come from the shared
+    # deterministic dealer; live RtLab nodes re-derive the identical
+    # material from (config, seed) in their own processes.
+    material = generate_material(
+        config,
+        rng,
+        namespace=group.namespace,
+        client_ids=group.client_ids,
+        client_keys=group.client_keys,
+    )
     plan = material.plan
     topology = material.topology
     on_prem_hosts = material.on_premises_hosts
@@ -376,7 +395,7 @@ def build(
         metrics=metrics,
         spans=spans,
         crypto_pool=crypto_pool,
-        shard_id=group.shard_id if group is not None else 0,
+        shard_id=group.shard_id,
     )
 
 

@@ -109,6 +109,12 @@ class TestCli:
         assert "spire: exposed data-center hosts: ['dc-1-r0'" in out
         assert "confidential: exposed data-center hosts: none" in out
 
+    def test_faultlab_live_rejects_shards(self, capsys, tmp_path):
+        code = main(["faultlab", "--substrate", "live", "--shards", "2",
+                     "--seed", "1", "--out", str(tmp_path)])
+        assert code != 0
+        assert "--shards > 1 needs --substrate sim" in capsys.readouterr().out
+
     def test_bad_arguments_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--mode", "nonsense"])

@@ -1,14 +1,18 @@
 """FaultLab schedule model: generation, validation, serialization."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.faultlab import (
     FaultEvent,
+    FaultLabConfig,
     FaultSchedule,
     ScheduleSpace,
     generate_schedule,
     make_event,
+    schedule_for_seed,
     validate_schedule,
 )
 
@@ -146,3 +150,21 @@ class TestValidationAndSubset:
         text = schedule.describe()
         for event in schedule.events:
             assert event.kind in text
+
+
+class TestScheduleForSeed:
+    """Sweep schedules are pinned: a change here regenerates every seed."""
+
+    @staticmethod
+    def digest(lab, seeds):
+        h = hashlib.sha256()
+        for seed in seeds:
+            h.update((schedule_for_seed(seed, lab).to_json() + "\n").encode())
+        return h.hexdigest()[:16]
+
+    def test_classic_schedules_are_pinned(self):
+        assert self.digest(FaultLabConfig(), range(1, 26)) == "8228fe4ed23f80ae"
+
+    def test_shard_schedules_are_pinned(self):
+        lab = FaultLabConfig.sharded(shards=2)
+        assert self.digest(lab, range(1, 21)) == "18297334ac7b1a85"

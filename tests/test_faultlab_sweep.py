@@ -102,4 +102,4 @@ def test_compromise_windows_install_and_release():
     assert tracer.count("adversary.compromise") == 1
     assert tracer.count("adversary.release") == 1
     # Control was handed back: no compromised hosts at end of run.
-    assert result.adversary.compromised_hosts == []
+    assert result.adversaries[0].compromised_hosts == []

@@ -212,12 +212,73 @@ CPITM_MESSAGES = [
 ]
 
 
+# Test-id suffixes for the samples above, one per occurrence of a type, in
+# list order.  They were once computed as ``id(m) % 97``, which changes from
+# run to run; frozen here, every sample keeps the same test name in every run.
+_SAMPLE_ID_SUFFIXES = {
+    "PoRequest": (84,),
+    "PoAck": (2,),
+    "PoAru": (38,),
+    "PrePrepare": (78,),
+    "Prepare": (33,),
+    "Commit": (82,),
+    "Heartbeat": (40,),
+    "Suspect": (43,),
+    "VcState": (53,),
+    "NewView": (3,),
+    "PoFetch": (57,),
+    "PoFetchReply": (95,),
+    "BatchFetch": (56, 66),
+    "BatchFetchReply": (81,),
+    "ClientUpdate": (14,),
+    "EncryptedUpdate": (20,),
+    "IntroShare": (39,),
+    "ResponseShare": (88,),
+    "ClientResponse": (11,),
+    "KeyProposal": (46,),
+    "CheckpointMsg": (22, 59),
+    "CheckpointDeltaMsg": (27, 73),
+    "StateXferSolicit": (50, 59),
+    "XferRequest": (53, 95),
+    "BatchRecord": (55,),
+    "StateXferResponse": (10, 19, 82),
+    "BatchProposal": (69, 87),
+    "BatchShare": (56,),
+    "SignedUpdateBatch": (90,),
+    "ResponseBatchShare": (11,),
+    "CertifiedResponse": (45, 73),
+    "ShardMapAnnounce": (53,),
+    "CrossShardIntent": (77,),
+    "CrossShardPrepare": (52, 91),
+    "CrossShardCommit": (87,),
+}
+
+
+def _sample_ids(samples):
+    seen = {}
+    ids = {}
+    for message in samples:
+        name = type(message).__name__
+        index = seen.get(name, 0)
+        seen[name] = index + 1
+        ids[id(message)] = f"{name}-{_SAMPLE_ID_SUFFIXES[name][index]}"
+    return ids
+
+
+_SAMPLE_IDS = _sample_ids(PRIME_MESSAGES + CPITM_MESSAGES)
+
+
+def sample_id(message):
+    """Stable pytest id for one of the module's sample messages."""
+    return _SAMPLE_IDS[id(message)]
+
+
 @pytest.mark.parametrize("message", PRIME_MESSAGES, ids=lambda m: type(m).__name__)
 def test_prime_message_roundtrip(message):
     roundtrip(message)
 
 
-@pytest.mark.parametrize("message", CPITM_MESSAGES, ids=lambda m: f"{type(m).__name__}-{id(m) % 97}")
+@pytest.mark.parametrize("message", CPITM_MESSAGES, ids=sample_id)
 def test_cpitm_message_roundtrip(message):
     roundtrip(message)
 

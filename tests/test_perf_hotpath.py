@@ -21,7 +21,7 @@ from repro.net import codec
 from repro.net.codec import encode_message, encoded_size, registered_types
 from repro.prime.messages import OpaqueUpdate, PoRequest
 
-from tests.test_net_codec import CPITM_MESSAGES, PRIME_MESSAGES
+from tests.test_net_codec import CPITM_MESSAGES, PRIME_MESSAGES, sample_id
 
 ALL_SAMPLES = PRIME_MESSAGES + CPITM_MESSAGES
 
@@ -40,7 +40,7 @@ def _fresh_payload_cache():
 
 
 @pytest.mark.parametrize(
-    "message", ALL_SAMPLES, ids=lambda m: f"{type(m).__name__}-{id(m) % 97}"
+    "message", ALL_SAMPLES, ids=sample_id
 )
 def test_cached_bytes_equal_fresh_bytes(message):
     fresh = encode_message(message)
@@ -156,7 +156,7 @@ def test_wire_size_ratio_bands_cover_every_type():
 
 
 @pytest.mark.parametrize(
-    "message", ALL_SAMPLES, ids=lambda m: f"{type(m).__name__}-{id(m) % 97}"
+    "message", ALL_SAMPLES, ids=sample_id
 )
 def test_wire_size_within_documented_band(message):
     name = type(message).__name__

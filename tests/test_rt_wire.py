@@ -25,7 +25,7 @@ from repro.rt.wire import (
     extend_frame,
     frame_size,
 )
-from tests.test_net_codec import CPITM_MESSAGES, PRIME_MESSAGES
+from tests.test_net_codec import CPITM_MESSAGES, PRIME_MESSAGES, sample_id
 
 ALL_SAMPLES = PRIME_MESSAGES + CPITM_MESSAGES
 
@@ -40,7 +40,7 @@ def roundtrip(src, message):
 
 
 @pytest.mark.parametrize(
-    "message", ALL_SAMPLES, ids=lambda m: f"{type(m).__name__}-{id(m) % 97}"
+    "message", ALL_SAMPLES, ids=sample_id
 )
 def test_every_sample_roundtrips(message):
     roundtrip("cc-a-r0", message)
